@@ -70,7 +70,7 @@ struct AdmissionConfig {
   /// Live transport backlog (accept queue, threadpool queue) in front of
   /// the container; the controller adds its own in-flight count. Null =
   /// only in-flight requests are counted.
-  std::function<std::size_t()> queue_depth;
+  std::function<std::size_t()> queue_depth{};
 
   /// Depth thresholds per class: a request is shed when the backlog at
   /// admission time has reached its class's threshold. Monitoring's is
@@ -82,8 +82,8 @@ struct AdmissionConfig {
   /// Default per-(tenant, service) bucket; `tenant_overrides` replaces it
   /// for specific tenants. Monitoring-class traffic is exempt (it is
   /// bounded by the hard depth cap alone).
-  TokenBucketConfig per_tenant;
-  std::map<std::string, TokenBucketConfig> tenant_overrides;
+  TokenBucketConfig per_tenant{};
+  std::map<std::string, TokenBucketConfig> tenant_overrides{};
 
   /// Retry-After on depth sheds; bucket rejections answer with the actual
   /// time until a token accrues when that is longer.

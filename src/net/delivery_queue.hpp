@@ -52,7 +52,7 @@ class DeliveryQueue {
     telemetry::Counter* evictions = nullptr;
     telemetry::Counter* dead_letters = nullptr;
     /// Invoked (outside queue locks) when a destination is evicted.
-    std::function<void(const std::string& destination)> on_evict;
+    std::function<void(const std::string& destination)> on_evict{};
     /// Structured event sink for evictions and dead-letter drops (optional);
     /// events are tagged with `component` ("wsn.delivery", "wse.delivery").
     telemetry::EventLog* events = nullptr;

@@ -1,9 +1,14 @@
 // Arbitrary-precision unsigned integers and modular arithmetic for RSA.
 //
-// Little-endian 32-bit limbs, schoolbook multiplication, bitwise long
-// division for the occasional reduction, and Montgomery (CIOS)
-// exponentiation for the hot path (sign/verify). Sized for the RSA-1024
-// keys the paper's WSE X.509 profile used.
+// Little-endian 64-bit limbs with 128-bit intermediate products. Division is
+// Knuth's Algorithm D (word-level, TAOCP 4.3.1), so a reduction costs one
+// 128-by-64-bit quotient estimate per limb rather than one subtraction per
+// bit. Exponentiation with an odd modulus (the RSA case) runs in the
+// Montgomery domain: CIOS products into scratch allocated once per
+// exponentiation, a fixed 4-bit window for long exponents and the plain
+// binary ladder for short ones such as e = 65537. Nothing here is
+// constant-time; it is sized for the RSA-1024 keys the paper's WSE X.509
+// profile used, not hardened for hostile co-tenants.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +82,10 @@ class BigUint {
   /// gcd(a, m) != 1.
   static BigUint mod_inverse(const BigUint& a, const BigUint& m);
 
-  /// Uniform random integer with exactly `bits` bits (msb set).
+  /// Uniform random integer with exactly `bits` bits (msb set). Draws one
+  /// rng() value per 32 bits and keeps its low half.
   static BigUint random_bits(size_t bits, std::mt19937_64& rng);
-  /// Uniform random integer in [0, bound).
+  /// Uniform random integer in [0, bound), drawn like random_bits.
   static BigUint random_below(const BigUint& bound, std::mt19937_64& rng);
 
   /// Miller-Rabin probable-prime test with `rounds` random bases.
@@ -90,12 +96,12 @@ class BigUint {
 
   std::uint64_t to_u64() const;  // low 64 bits
 
-  const std::vector<std::uint32_t>& limbs() const noexcept { return limbs_; }
+  const std::vector<std::uint64_t>& limbs() const noexcept { return limbs_; }
 
  private:
   void trim();
   // Little-endian limbs; empty == zero.
-  std::vector<std::uint32_t> limbs_;
+  std::vector<std::uint64_t> limbs_;
 };
 
 }  // namespace gs::security

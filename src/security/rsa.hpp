@@ -23,13 +23,23 @@ struct RsaPublicKey {
 struct RsaKeyPair {
   RsaPublicKey pub;
   BigUint d;  // private exponent
+  // The private exponent in Chinese-remainder form (PKCS#1): n = p * q,
+  // dp = d mod (p-1), dq = d mod (q-1), qinv = q^-1 mod p. Signing and
+  // decryption use only these.
+  BigUint p;
+  BigUint q;
+  BigUint dp;
+  BigUint dq;
+  BigUint qinv;
 
   /// Generates a keypair with a `bits`-bit modulus. `rng` is the entropy
   /// source; pass a fixed-seed generator for reproducible test fixtures.
   static RsaKeyPair generate(size_t bits, std::mt19937_64& rng);
 };
 
-/// Signs a SHA-256 digest: EMSA-PKCS1-v1_5-shaped padding, then RSA-d.
+/// Signs a SHA-256 digest: EMSA-PKCS1-v1_5-shaped padding, then the
+/// private operation. Throws std::runtime_error if the result fails the
+/// public-exponent check (a faulty CRT half would otherwise leak p and q).
 std::vector<std::uint8_t> rsa_sign(const RsaKeyPair& key, const Digest256& digest);
 
 /// Verifies a signature over a SHA-256 digest.

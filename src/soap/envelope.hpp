@@ -20,8 +20,8 @@ struct PendingResponse;
 struct Fault {
   std::string code = "Receiver";  // SOAP fault code local name
   std::string reason;
-  std::string detail;       // serialized detail payload (may be empty)
-  std::string subcode;      // spec-defined subcode (e.g. WS-BaseFaults type)
+  std::string detail{};     // serialized detail payload (may be empty)
+  std::string subcode{};    // spec-defined subcode (e.g. WS-BaseFaults type)
 };
 
 /// Thrown by client proxies when a call returns a fault, and by service code

@@ -42,12 +42,12 @@ struct SloObjective {
   Kind kind = Kind::kAvailability;
 
   /// kAvailability: counter series for successes / failures.
-  std::string good_metric;
-  std::vector<std::string> bad_metrics;
+  std::string good_metric{};
+  std::vector<std::string> bad_metrics{};
 
   /// kLatency: histogram base name (the `.p99` series is consulted) and
   /// the per-interval threshold.
-  std::string latency_metric;
+  std::string latency_metric{};
   double threshold_us = 0.0;
 
   /// SLO target as a fraction of good outcomes (0.999 = "three nines");

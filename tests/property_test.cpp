@@ -16,6 +16,7 @@
 #include "xml/parser.hpp"
 #include "xml/writer.hpp"
 #include "xml/xpath.hpp"
+#include "bignum_reference.hpp"
 
 namespace gs {
 namespace {
@@ -231,6 +232,163 @@ TEST_P(BignumProperty, ModInverseIsInverse) {
            security::BigUint::random_below(m - security::BigUint(3), rng64);
   auto inv = security::BigUint::mod_inverse(a, m);
   EXPECT_EQ((a * inv) % m, security::BigUint(1));
+}
+
+// --- bignum against the reference arithmetic ----------------------------------------
+// bignum_reference.hpp keeps the earlier bitwise long division and plain
+// square-and-multiply as an oracle for the word-level (Knuth D) division
+// and the windowed Montgomery exponentiation.
+
+using security::BigUint;
+
+void expect_divmod_matches(const BigUint& a, const BigUint& b) {
+  auto [q, r] = BigUint::divmod(a, b);
+  auto [ref_q, ref_r] = security::reference::divmod(a, b);
+  EXPECT_EQ(q, ref_q) << "a=" << a.to_hex() << " b=" << b.to_hex();
+  EXPECT_EQ(r, ref_r) << "a=" << a.to_hex() << " b=" << b.to_hex();
+}
+
+void expect_mod_exp_matches(const BigUint& base, const BigUint& exp, const BigUint& m) {
+  EXPECT_EQ(BigUint::mod_exp(base, exp, m), security::reference::mod_exp(base, exp, m))
+      << "base=" << base.to_hex() << " exp=" << exp.to_hex() << " m=" << m.to_hex();
+}
+
+// A number from its 64-bit limbs, least significant first.
+BigUint from_limbs(std::initializer_list<std::uint64_t> limbs) {
+  BigUint out;
+  for (auto it = std::rbegin(limbs); it != std::rend(limbs); ++it) {
+    out = (out << 64) + BigUint(*it);
+  }
+  return out;
+}
+
+class BignumDifferential : public Seeded {};
+INSTANTIATE_TEST_SUITE_P(Seeds, BignumDifferential, ::testing::Range(0, 12));
+
+TEST_P(BignumDifferential, DivModMatchesReferenceOnRandomOperands) {
+  std::mt19937_64 rng64(static_cast<std::uint64_t>(GetParam()) + 1000);
+  for (int i = 0; i < 6; ++i) {
+    auto b_bits = static_cast<size_t>(pick(1, 2048));
+    auto a_bits = static_cast<size_t>(pick(1, 4096));
+    expect_divmod_matches(BigUint::random_bits(a_bits, rng64),
+                          BigUint::random_bits(b_bits, rng64));
+  }
+}
+
+TEST_P(BignumDifferential, DivModMatchesReferenceOnExtremeLimbs) {
+  // Limbs at the edges of the quotient estimate (zero, one, half, all ones)
+  // drive D3's corrections and D6's add-back often; on random limbs D6
+  // fires about once per 2^63 quotient limbs.
+  static const std::uint64_t kEdges[] = {0, 1, 2, 0x7fffffffffffffff, 0x8000000000000000,
+                                         0x8000000000000001, 0xfffffffffffffffe,
+                                         0xffffffffffffffff};
+  auto edge_number = [&](int limbs) {
+    BigUint out;
+    for (int i = 0; i < limbs; ++i) out = (out << 64) + BigUint(kEdges[pick(0, 7)]);
+    return out;
+  };
+  for (int i = 0; i < 200; ++i) {
+    BigUint b = edge_number(pick(1, 4));
+    if (b.is_zero()) continue;
+    expect_divmod_matches(edge_number(pick(1, 8)), b);
+  }
+}
+
+TEST_P(BignumDifferential, ModExpMatchesReference) {
+  // Odd and even moduli from one limb to 4096 bits; exponents on both sides
+  // of the binary-ladder / 4-bit-window boundary; bases up to twice the
+  // modulus so the initial reduction is exercised.
+  static const size_t kModulusBits[] = {64, 65, 127, 128, 192, 256, 512, 1024, 2048, 4096};
+  std::mt19937_64 rng64(static_cast<std::uint64_t>(GetParam()) + 2000);
+  size_t bits = kModulusBits[GetParam() % std::size(kModulusBits)];
+  BigUint odd = BigUint::random_bits(bits, rng64);
+  if (!odd.is_odd()) odd = odd + BigUint(1);
+  BigUint even = odd - BigUint(1);
+  for (const BigUint& m : {odd, even}) {
+    BigUint base = BigUint::random_below(m + m, rng64);
+    expect_mod_exp_matches(base, BigUint(65537), m);
+    expect_mod_exp_matches(base, BigUint::random_bits(66, rng64), m);
+    if (bits <= 512) expect_mod_exp_matches(base, BigUint::random_bits(bits, rng64), m);
+  }
+}
+
+TEST(BignumEdgeCases, SingleLimbDivisors) {
+  std::mt19937_64 rng64(41);
+  for (std::uint64_t d : {1ull, 2ull, 3ull, 10ull, 0xffffffffull, 0x100000000ull,
+                          0x8000000000000000ull, 0xffffffffffffffffull}) {
+    expect_divmod_matches(BigUint::random_bits(1000, rng64), BigUint(d));
+    expect_divmod_matches(BigUint::random_bits(64, rng64), BigUint(d));
+    expect_divmod_matches(BigUint(d), BigUint(d));
+  }
+}
+
+TEST(BignumEdgeCases, DivisorTopLimbAllOnes) {
+  std::mt19937_64 rng64(43);
+  for (int extra = 1; extra <= 4; ++extra) {
+    BigUint b = (BigUint(0xffffffffffffffff) << (64 * static_cast<size_t>(extra))) +
+                BigUint::random_bits(64 * static_cast<size_t>(extra) - 1, rng64);
+    expect_divmod_matches(BigUint::random_bits(b.bit_length() + 200, rng64), b);
+    expect_divmod_matches(b * b - BigUint(1), b);
+  }
+}
+
+TEST(BignumEdgeCases, EqualSmallerAndExactMultiples) {
+  std::mt19937_64 rng64(47);
+  BigUint b = BigUint::random_bits(300, rng64);
+  auto [q1, r1] = BigUint::divmod(b, b);
+  EXPECT_EQ(q1, BigUint(1));
+  EXPECT_TRUE(r1.is_zero());
+  BigUint smaller = b - BigUint(1);
+  auto [q2, r2] = BigUint::divmod(smaller, b);
+  EXPECT_TRUE(q2.is_zero());
+  EXPECT_EQ(r2, smaller);
+  BigUint q = BigUint::random_bits(500, rng64);
+  auto [q3, r3] = BigUint::divmod(b * q, b);
+  EXPECT_EQ(q3, q);
+  EXPECT_TRUE(r3.is_zero());
+  expect_divmod_matches(b * q + b - BigUint(1), b);
+}
+
+TEST(BignumEdgeCases, KnuthAddBackStep) {
+  // Operands whose first quotient estimate survives D3's test yet is one
+  // too large, so D4 goes negative and D6 adds the divisor back: a 2-limb
+  // and a 3-limb divisor, normalized and not.
+  struct Case {
+    BigUint a, b, q, r;
+  };
+  const BigUint a = BigUint(1) << 192;
+  const Case cases[] = {
+      {a, from_limbs({1, 0, 1}), BigUint(0xffffffffffffffff),
+       from_limbs({1, 0xffffffffffffffff})},
+      {a, from_limbs({1, 0, 2}), BigUint(0x7fffffffffffffff),
+       from_limbs({0x8000000000000001, 0xffffffffffffffff, 1})},
+      {a, from_limbs({1, 0, 0x8000000000000000}), BigUint(1),
+       from_limbs({0xffffffffffffffff, 0xffffffffffffffff, 0x7fffffffffffffff})},
+      {a, from_limbs({0xffffffffffffffff, 0, 0x8000000000000000}), BigUint(1),
+       from_limbs({1, 0xffffffffffffffff, 0x7fffffffffffffff})},
+  };
+  for (const Case& c : cases) {
+    auto [q, r] = BigUint::divmod(c.a, c.b);
+    EXPECT_EQ(q, c.q) << c.b.to_hex();
+    EXPECT_EQ(r, c.r) << c.b.to_hex();
+    expect_divmod_matches(c.a, c.b);
+    // The same step deep inside a longer division.
+    expect_divmod_matches((c.a << 320) + BigUint(12345), c.b);
+  }
+}
+
+TEST(BignumEdgeCases, OneLimbModuli) {
+  std::mt19937_64 rng64(53);
+  for (std::uint64_t m : {2ull, 3ull, 5ull, 0x8000000000000000ull, 0xffffffffffffffc5ull,
+                          0xffffffffffffffffull, 0xfffffffffffffffeull}) {
+    for (const BigUint& e : {BigUint(0), BigUint(1), BigUint(2),
+                             BigUint::random_bits(64, rng64),
+                             BigUint::random_bits(200, rng64)}) {
+      expect_mod_exp_matches(BigUint::random_bits(100, rng64), e, BigUint(m));
+      expect_mod_exp_matches(BigUint(m - 1), e, BigUint(m));
+      expect_mod_exp_matches(BigUint(m), e, BigUint(m));
+    }
+  }
 }
 
 // --- hashes --------------------------------------------------------------------------

@@ -705,7 +705,9 @@ TEST(SchedService, DualStackSubscribersSeeSameTransitionsThroughFaultyRoutes) {
     Seen seen;
     for (const wsn::ReceivedNotification& n : consumer.received()) {
       EXPECT_EQ(n.raw, expect_raw);
-      if (!expect_raw) EXPECT_EQ(n.topic, kJobTopic);
+      if (!expect_raw) {
+        EXPECT_EQ(n.topic, kJobTopic);
+      }
       if (!n.payload) {
         ADD_FAILURE() << "notification with no payload";
         continue;

@@ -96,8 +96,6 @@ class BigUint {
 
   std::uint64_t to_u64() const;  // low 64 bits
 
-  const std::vector<std::uint64_t>& limbs() const noexcept { return limbs_; }
-
  private:
   void trim();
   // Little-endian limbs; empty == zero.

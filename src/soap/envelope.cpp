@@ -379,20 +379,13 @@ const std::string& Envelope::canonical_signed_content() const {
 }
 
 Envelope Envelope::from_xml(std::string_view wire) {
-  if (wire_fast_path()) {
-    auto doc = std::make_shared<const xml::ArenaDocument>(
-        xml::ArenaDocument::parse(std::string(wire)));
-    const xml::ArenaNode& root = doc->root();
-    if (root.ns != ns::kEnvelope || root.local != "Envelope") {
-      throw std::runtime_error("not a SOAP envelope: " + root.clark());
-    }
-    return Envelope(std::move(doc));
+  auto doc = xml::ArenaDocument::parse(std::string(wire));
+  const xml::ArenaNode& root = doc.root();
+  if (root.ns != ns::kEnvelope || root.local != "Envelope") {
+    throw std::runtime_error("not a SOAP envelope: " + root.clark());
   }
-  auto root = xml::parse_element(wire);
-  if (root->name() != env_name("Envelope")) {
-    throw std::runtime_error("not a SOAP envelope: " + root->name().clark());
-  }
-  return Envelope(std::move(root));
+  if (!wire_fast_path()) return Envelope(doc.to_dom());
+  return Envelope(std::make_shared<const xml::ArenaDocument>(std::move(doc)));
 }
 
 }  // namespace gs::soap

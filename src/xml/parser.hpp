@@ -1,4 +1,5 @@
-// Namespace-aware XML parser.
+// Namespace-aware XML parsing: the error type and the DOM entry point. The
+// scanner itself is the arena pull parser in pull.cpp.
 #pragma once
 
 #include <stdexcept>
@@ -26,7 +27,8 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
-/// Parses a complete XML document and returns its root element.
+/// Parses a complete XML document and returns its root element as a
+/// mutable DOM: ArenaDocument::parse(input).to_dom().
 ///
 /// Supported: prolog (`<?xml ...?>`), namespaces (default + prefixed,
 /// including undeclaration), attributes, character data, the five built-in
@@ -34,9 +36,6 @@ class ParseError : public std::runtime_error {
 /// and processing instructions (skipped). DTDs are rejected.
 ///
 /// Throws ParseError on malformed input.
-Document parse(std::string_view input);
-
-/// Parses and returns the root element directly (common case).
 std::unique_ptr<Element> parse_element(std::string_view input);
 
 }  // namespace gs::xml

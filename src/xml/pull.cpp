@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -12,9 +13,6 @@
 namespace gs::xml {
 namespace {
 
-// Name/character predicates and entity decoding are kept in lockstep with
-// parser.cpp: the equivalence suite requires both parsers to accept and
-// reject the same byte streams with the same diagnostics.
 bool is_name_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
          static_cast<unsigned char>(c) >= 0x80;
@@ -23,6 +21,12 @@ bool is_name_start(char c) {
 bool is_name_char(char c) {
   return is_name_start(c) || std::isdigit(static_cast<unsigned char>(c)) ||
          c == '-' || c == '.';
+}
+
+// The XML 1.0 Char production: what a character reference may name.
+bool is_xml_char(unsigned long cp) {
+  return cp == 0x9 || cp == 0xA || cp == 0xD || (cp >= 0x20 && cp <= 0xD7FF) ||
+         (cp >= 0xE000 && cp <= 0xFFFD) || (cp >= 0x10000 && cp <= 0x10FFFF);
 }
 
 void append_utf8(std::string& out, unsigned long cp) {
@@ -45,10 +49,11 @@ void append_utf8(std::string& out, unsigned long cp) {
 
 constexpr std::string_view kXmlNsUri = "http://www.w3.org/XML/1998/namespace";
 
-// In-scope prefix bindings over views (buffer- or arena-backed).
-class ViewNsScope {
+// In-scope prefix bindings over views (buffer- or arena-backed). An empty
+// URI entry represents an undeclaration.
+class NsScope {
  public:
-  ViewNsScope() { bind("xml", kXmlNsUri); }
+  NsScope() { bind("xml", kXmlNsUri); }
 
   void push() { marks_.push_back(bindings_.size()); }
   void pop() {
@@ -96,12 +101,22 @@ class PullParser {
 
   char advance() {
     if (at_end()) fail("unexpected end of input");
-    char c = in_[pos_++];
+    char c = in_[pos_];
+    if (static_cast<unsigned char>(c) < 0x20) on_control_char(c);
+    ++pos_;
+    return c;
+  }
+
+  // C0 controls other than tab, LF and CR are not XML characters, in
+  // markup, text, comments or CDATA alike. Kept out of line so advance(),
+  // the per-byte step, stays small enough to inline.
+  [[gnu::noinline]] void on_control_char(char c) {
     if (c == '\n') {
       ++line_;
-      line_start_ = pos_;
+      line_start_ = pos_ + 1;
+    } else if (c != '\t' && c != '\r') {
+      fail("invalid character");
     }
-    return c;
   }
 
   void expect(char c) {
@@ -153,11 +168,20 @@ class PullParser {
     expect_str("?>");
   }
 
+  // Reads a qualified name: an optional prefix and a local part, both
+  // non-empty and joined by the only colon.
   std::string_view read_name() {
     if (!is_name_start(peek())) fail("expected a name");
     size_t start = pos_;
-    while (!at_end() && is_name_char(peek())) advance();
-    return in_.substr(start, pos_ - start);
+    // Name characters include no newline, so the line count stays put.
+    while (pos_ < in_.size() && is_name_char(in_[pos_])) ++pos_;
+    std::string_view name = in_.substr(start, pos_ - start);
+    auto colon = name.find(':');
+    if (colon != std::string_view::npos &&
+        (colon == 0 || colon + 1 == name.size() ||
+         name.find(':', colon + 1) != std::string_view::npos))
+      fail("malformed qualified name '" + std::string(name) + "'");
+    return name;
   }
 
   static std::pair<std::string_view, std::string_view> split_name(
@@ -214,15 +238,15 @@ class PullParser {
     if (name == "quot") return "\"";
     if (name == "apos") return "'";
     if (!name.empty() && name[0] == '#') {
+      // The digits must be the whole reference: no sign, space or suffix.
+      bool hex = name.size() > 1 && (name[1] == 'x' || name[1] == 'X');
+      const char* first = name.data() + (hex ? 2 : 1);
+      const char* last = name.data() + name.size();
       unsigned long cp = 0;
-      try {
-        cp = (name.size() > 1 && (name[1] == 'x' || name[1] == 'X'))
-                 ? std::stoul(name.substr(2), nullptr, 16)
-                 : std::stoul(name.substr(1), nullptr, 10);
-      } catch (const std::exception&) {
+      auto [end, ec] = std::from_chars(first, last, cp, hex ? 16 : 10);
+      if (ec != std::errc() || end != last)
         fail("malformed character reference &" + name + ";");
-      }
-      if (cp == 0 || cp > 0x10FFFF) fail("character reference out of range");
+      if (!is_xml_char(cp)) fail("character reference out of range");
       std::string out;
       append_utf8(out, cp);
       return out;
@@ -265,7 +289,7 @@ class PullParser {
 
     ns_.push();
     struct ScopeGuard {
-      ViewNsScope& ns;
+      NsScope& ns;
       ~ScopeGuard() { ns.pop(); }
     } guard{ns_};
 
@@ -277,7 +301,6 @@ class PullParser {
         decls.push_back({std::string_view{}, a.value});
       } else if (a.name.starts_with("xmlns:")) {
         std::string_view prefix = a.name.substr(6);
-        if (prefix.empty()) fail("empty namespace prefix");
         ns_.bind(prefix, a.value);
         decls.push_back({prefix, a.value});
       }
@@ -450,7 +473,7 @@ class PullParser {
   int line_ = 1;
   size_t line_start_ = 0;
   int depth_ = 0;
-  ViewNsScope ns_;
+  NsScope ns_;
 };
 
 }  // namespace
@@ -545,6 +568,10 @@ std::unique_ptr<Element> ArenaDocument::to_dom(const ArenaNode& el) {
     }
   }
   return out;
+}
+
+std::unique_ptr<Element> parse_element(std::string_view input) {
+  return ArenaDocument::parse(std::string(input)).to_dom();
 }
 
 namespace {

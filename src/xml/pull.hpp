@@ -1,18 +1,17 @@
-// Arena-backed pull parser producing a read-only document view.
+// The XML parser: an arena-backed pull parser producing a read-only view.
 //
-// The DOM parser in parser.cpp allocates one heap node plus several strings
-// per element; on the wire hot path that is most of container.parse_us. The
-// pull parser here takes ownership of the input buffer, scans it once, and
-// builds a tree of trivially-destructible ArenaNodes whose names, attribute
-// values and text are string_views into that buffer (entity-decoded runs are
-// the only copies, placed in the arena). The result is immutable; handlers
-// that need to mutate convert the relevant subtree to the classic DOM with
-// to_dom(), which reproduces exactly what parser.cpp would have built —
-// including namespace-prefix hints — so the two paths serialize identically.
+// This is the only XML scanner in the tree. It takes ownership of the input
+// buffer, scans it once, and builds a tree of trivially-destructible
+// ArenaNodes whose names, attribute values and text are string_views into
+// that buffer (entity-decoded runs are the only copies, placed in the
+// arena). The wire fast path reads that view directly; every mutable DOM —
+// parse_element(), cache-miss document loads, certificates, stored
+// subscriptions — is the view materialized with to_dom(), which also
+// records namespace-prefix hints so documents write back as they were read.
 //
-// Acceptance and rejection behavior (error messages, line/column positions,
-// the 256-level depth limit, DTD rejection) intentionally matches parser.cpp
-// byte for byte; tests/xml_test.cpp holds the two parsers to that contract.
+// The error surface (messages, line/column positions, the 256-level depth
+// limit, DTD rejection) and the written octets of a fixture corpus are
+// pinned literally in tests/xml_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +77,8 @@ struct ArenaNode {
 /// view must outlive its producer (soap::Envelope does this).
 class ArenaDocument {
  public:
-  /// Parses `input`, taking ownership of the buffer. Throws ParseError with
-  /// the same messages/positions parser.cpp would produce.
+  /// Parses `input`, taking ownership of the buffer. Throws ParseError on
+  /// malformed input.
   static ArenaDocument parse(std::string input);
 
   ArenaDocument(ArenaDocument&&) noexcept = default;
@@ -92,8 +91,9 @@ class ArenaDocument {
   std::size_t node_count() const noexcept { return nodes_; }
   std::size_t arena_bytes() const noexcept { return arena_.bytes_used(); }
 
-  /// Materializes a subtree as the mutable DOM, byte-identical on re-parse
-  /// to what parser.cpp builds (names, attributes in order, prefix hints).
+  /// Materializes a subtree as the mutable DOM: names, attributes in
+  /// document order, and the element's namespace declarations as prefix
+  /// hints.
   static std::unique_ptr<Element> to_dom(const ArenaNode& el);
   std::unique_ptr<Element> to_dom() const { return to_dom(*root_); }
 

@@ -127,6 +127,54 @@ TEST_P(XmlRoundTripProperty, AttributeOrderDoesNotAffectCanonicalForm) {
   EXPECT_EQ(xml::canonicalize(*tree), xml::canonicalize(*reversed(*tree)));
 }
 
+// --- XML mutation ---------------------------------------------------------------
+//
+// Malformed input is probed directly: every mutant of a well-formed document
+// must either be rejected with ParseError (any other exception escapes and
+// fails the test) or parse to a tree that survives its own write/parse round
+// trip.
+
+class XmlMutationProperty : public Seeded {
+ protected:
+  std::string mutate(std::string doc) {
+    static const char* kInserts[] = {"<", "&", "]]>"};
+    if (doc.empty()) return kInserts[pick(0, 2)];
+    std::size_t at = static_cast<std::size_t>(pick(0, static_cast<int>(doc.size()) - 1));
+    switch (pick(0, 3)) {
+      case 0:  // byte flip
+        doc[at] = static_cast<char>(doc[at] ^ (1 << pick(0, 7)));
+        break;
+      case 1:  // deletion
+        doc.erase(at, static_cast<std::size_t>(pick(1, 4)));
+        break;
+      case 2:  // markup insertion
+        doc.insert(at, kInserts[pick(0, 2)]);
+        break;
+      default:  // truncation
+        doc.resize(at);
+        break;
+    }
+    return doc;
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Seeds, XmlMutationProperty, ::testing::Range(0, 40));
+
+TEST_P(XmlMutationProperty, RejectsOrRoundTrips) {
+  const std::string doc = xml::write(*random_tree(3));
+  for (int i = 0; i < 100; ++i) {
+    std::string mutant = doc;
+    for (int n = pick(1, 3); n > 0; --n) mutant = mutate(std::move(mutant));
+    std::unique_ptr<xml::Element> tree;
+    try {
+      tree = xml::parse_element(mutant);
+    } catch (const xml::ParseError&) {
+      continue;
+    }
+    auto back = xml::parse_element(xml::write(*tree));
+    EXPECT_TRUE(xml::Element::deep_equal(*tree, *back)) << mutant;
+  }
+}
+
 // --- envelopes ------------------------------------------------------------------
 
 class EnvelopeProperty : public Seeded {};

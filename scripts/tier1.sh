@@ -55,10 +55,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 if [[ "${CONCURRENCY:-0}" == "1" ]]; then
   # Concurrency gate, part one: the multi-threaded suites under TSan
-  # (registry pins and the 8-thread hammer, plus the scheduler's two-phase
-  # pass / JobRunner callback interplay).
+  # (registry pins and the 8-thread hammer, the scheduler's two-phase
+  # pass / JobRunner callback interplay, and the lifetime manager's
+  # lock-free sweep check against racing schedules, moves and cancels).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'concurrency|scheduler'
+    -R 'concurrency|scheduler|container|stress'
   # Part two: the scaling benchmark from an unsanitized build (sanitizer
   # CPU overhead would mask the overlap being measured). It exits nonzero
   # unless 8 client threads reach >= 3x single-thread throughput, and
@@ -78,9 +79,11 @@ elif [[ "$TSAN_ONLY" == "1" ]]; then
   # substrate, the observability layer (sampler vs request threads,
   # SLO evaluation against a concurrently-fed store), and the durable
   # storage engine (group-commit thread vs writers, drain barriers, the
-  # load/store/remove cache hammer).
+  # load/store/remove cache hammer), and the container and stress suites
+  # (the lifetime manager's lock-free sweep check against racing
+  # schedules, deadline moves and cancels; parallel clients over sockets).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability'
+    -R 'telemetry|reliability|monitor|concurrency|scheduler|xml|wire|overload|timeseries|slo|durability|container|stress'
 elif [[ "${OVERLOAD:-0}" == "1" ]]; then
   # Overload gate, part one: the admission/breaker suite.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \

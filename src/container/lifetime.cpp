@@ -1,6 +1,7 @@
 #include "container/lifetime.hpp"
 
 #include <charconv>
+#include <vector>
 
 #include "soap/envelope.hpp"
 
@@ -22,6 +23,10 @@ LifetimeManager::Handle LifetimeManager::schedule(
   std::lock_guard lock(mu_);
   Handle handle = next_++;
   entries_[handle] = {termination_time, std::move(on_destroy)};
+  if (termination_time != kNever) {
+    deadlines_.emplace(termination_time, handle);
+    refresh_next_due();
+  }
   return handle;
 }
 
@@ -30,7 +35,11 @@ bool LifetimeManager::set_termination_time(Handle handle,
   std::lock_guard lock(mu_);
   auto it = entries_.find(handle);
   if (it == entries_.end()) return false;
-  it->second.termination_time = termination_time;
+  common::TimeMs& current = it->second.termination_time;
+  if (current != kNever) deadlines_.erase({current, handle});
+  current = termination_time;
+  if (current != kNever) deadlines_.emplace(current, handle);
+  refresh_next_due();
   return true;
 }
 
@@ -49,7 +58,7 @@ bool LifetimeManager::destroy(Handle handle) {
     auto it = entries_.find(handle);
     if (it == entries_.end()) return false;
     callback = std::move(it->second.on_destroy);
-    entries_.erase(it);
+    erase(it);
   }
   if (callback) callback();
   return true;
@@ -57,27 +66,44 @@ bool LifetimeManager::destroy(Handle handle) {
 
 bool LifetimeManager::cancel(Handle handle) {
   std::lock_guard lock(mu_);
-  return entries_.erase(handle) > 0;
+  auto it = entries_.find(handle);
+  if (it == entries_.end()) return false;
+  erase(it);
+  return true;
 }
 
 size_t LifetimeManager::sweep() {
   common::TimeMs now = clock_.now();
+  // The common case: nothing is due, so no lock is taken.
+  if (now < next_due_.load(std::memory_order_acquire)) return 0;
   std::vector<std::function<void()>> callbacks;
   {
     std::lock_guard lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.termination_time <= now) {
-        callbacks.push_back(std::move(it->second.on_destroy));
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      auto it = entries_.find(deadlines_.begin()->second);
+      callbacks.push_back(std::move(it->second.on_destroy));
+      entries_.erase(it);
+      deadlines_.erase(deadlines_.begin());
     }
+    refresh_next_due();
   }
   for (auto& cb : callbacks) {
     if (cb) cb();
   }
   return callbacks.size();
+}
+
+void LifetimeManager::erase(std::map<Handle, Entry>::iterator it) {
+  if (it->second.termination_time != kNever) {
+    deadlines_.erase({it->second.termination_time, it->first});
+    refresh_next_due();
+  }
+  entries_.erase(it);
+}
+
+void LifetimeManager::refresh_next_due() {
+  next_due_.store(deadlines_.empty() ? kNever : deadlines_.begin()->first,
+                  std::memory_order_release);
 }
 
 size_t LifetimeManager::active() const {

@@ -7,13 +7,16 @@
 // (a finding this repository's tests assert).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <vector>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "common/clock.hpp"
 
@@ -22,6 +25,11 @@ namespace gs::container {
 /// Registry of scheduled destructions. Services register a termination
 /// time and an on-destroy callback per resource; the container sweeps on
 /// each request (and tests sweep manually with a ManualClock).
+///
+/// A sweep costs O(entries due): finite termination times are kept in a
+/// deadline index, and the earliest one is published in an atomic, so a
+/// sweep with nothing due is one clock read and one load, with no lock and
+/// no walk over the (mostly kNever) resources.
 class LifetimeManager {
  public:
   using Handle = std::uint64_t;
@@ -43,7 +51,7 @@ class LifetimeManager {
   /// Unregisters without running the callback.
   bool cancel(Handle handle);
 
-  /// Destroys every entry whose termination time has passed.
+  /// Destroys every entry whose termination time is at or before now.
   /// Returns the number destroyed.
   size_t sweep();
 
@@ -56,9 +64,20 @@ class LifetimeManager {
     std::function<void()> on_destroy;
   };
 
+  // Unregisters an entry and its deadline; called with mu_ held.
+  void erase(std::map<Handle, Entry>::iterator it);
+  // Publishes the earliest indexed deadline; called with mu_ held.
+  void refresh_next_due();
+
   const common::Clock& clock_;
   mutable std::mutex mu_;
   std::map<Handle, Entry> entries_;
+  // (termination time, handle) for every entry with a finite termination
+  // time; kNever entries are never due and are not indexed.
+  std::set<std::pair<common::TimeMs, Handle>> deadlines_;
+  // deadlines_' earliest time, or kNever when it is empty. Written under
+  // mu_, read without it by sweep().
+  std::atomic<common::TimeMs> next_due_{kNever};
   Handle next_ = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "wsrf/resource.hpp"
 
+#include "common/parse.hpp"
 #include "common/uuid.hpp"
 #include "wsrf/base_faults.hpp"
 
@@ -119,11 +120,8 @@ std::size_t ResourceHome::recover() {
     }
     common::TimeMs t = container::LifetimeManager::kNever;
     if (auto doc = db_.load(tt_collection(), id)) {
-      try {
-        t = std::stoll(doc->attr("ms").value_or(""));
-      } catch (const std::exception&) {
-        t = container::LifetimeManager::kNever;
-      }
+      t = common::parse_number<common::TimeMs>(doc->attr("ms").value_or(""))
+              .value_or(container::LifetimeManager::kNever);
     }
     // A termination time already in the past is re-registered as is: the
     // next lifetime sweep destroys the resource through the normal path

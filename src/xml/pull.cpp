@@ -23,6 +23,11 @@ bool is_name_char(char c) {
          c == '-' || c == '.';
 }
 
+// What may follow '&' before the ';': an ASCII name or '#' and digits.
+bool is_reference_char(char c) {
+  return static_cast<unsigned char>(c) < 0x80 && (is_name_char(c) || c == '#');
+}
+
 // The XML 1.0 Char production: what a character reference may name.
 bool is_xml_char(unsigned long cp) {
   return cp == 0x9 || cp == 0xA || cp == 0xD || (cp >= 0x20 && cp <= 0xD7FF) ||
@@ -89,8 +94,11 @@ class PullParser {
   }
 
  private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw ParseError(msg, line_, static_cast<int>(pos_ - line_start_) + 1);
+  [[noreturn]] void fail(const std::string& msg) const { fail_at(pos_, msg); }
+
+  // `at` must lie on the current line.
+  [[noreturn]] void fail_at(size_t at, const std::string& msg) const {
+    throw ParseError(msg, line_, static_cast<int>(at - line_start_) + 1);
   }
 
   bool at_end() const noexcept { return pos_ >= in_.size(); }
@@ -102,21 +110,62 @@ class PullParser {
   char advance() {
     if (at_end()) fail("unexpected end of input");
     char c = in_[pos_];
-    if (static_cast<unsigned char>(c) < 0x20) on_control_char(c);
+    // One test sends C0 controls and bytes >= 0x80 to the slow path.
+    if (static_cast<unsigned char>(c - 0x20) >= 0x60) on_special_byte(c);
     ++pos_;
     return c;
   }
 
-  // C0 controls other than tab, LF and CR are not XML characters, in
-  // markup, text, comments or CDATA alike. Kept out of line so advance(),
-  // the per-byte step, stays small enough to inline.
-  [[gnu::noinline]] void on_control_char(char c) {
-    if (c == '\n') {
+  // C0 controls other than tab, LF and CR are not XML characters, and bytes
+  // >= 0x80 must form well-formed UTF-8, in markup, text, comments or CDATA
+  // alike. Kept out of line so advance(), the per-byte step, stays small
+  // enough to inline and ASCII input pays nothing for the checks.
+  [[gnu::noinline]] void on_special_byte(char c) {
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      // A lead byte is checked with its whole sequence; the continuation
+      // bytes of a checked sequence pass.
+      if (pos_ >= utf8_end_) utf8_end_ = pos_ + utf8_sequence_length();
+    } else if (c == '\n') {
       ++line_;
       line_start_ = pos_ + 1;
     } else if (c != '\t' && c != '\r') {
       fail("invalid character");
     }
+  }
+
+  // Length of the UTF-8 sequence that starts at pos_, which must encode a
+  // code point from U+0080 to U+10FFFF in its shortest form, not a
+  // surrogate, U+FFFE or U+FFFF (the well-formed sequences of Unicode's
+  // Table 3-7 that are XML characters). Anything else, a stray continuation
+  // byte or a sequence cut short included, fails at its first byte.
+  [[gnu::noinline]] size_t utf8_sequence_length() const {
+    auto byte = [&](size_t i) -> unsigned {
+      return pos_ + i < in_.size() ? static_cast<unsigned char>(in_[pos_ + i]) : 0;
+    };
+    unsigned lead = byte(0);
+    size_t length = 0;
+    unsigned low = 0x80, high = 0xBF;  // the range of the second byte
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      length = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      length = 3;
+      if (lead == 0xE0) low = 0xA0;   // overlong below U+0800
+      if (lead == 0xED) high = 0x9F;  // surrogates U+D800..U+DFFF
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      length = 4;
+      if (lead == 0xF0) low = 0x90;   // overlong below U+10000
+      if (lead == 0xF4) high = 0x8F;  // above U+10FFFF
+    } else {
+      fail("malformed UTF-8");
+    }
+    unsigned second = byte(1);
+    if (second < low || second > high) fail("malformed UTF-8");
+    for (size_t i = 2; i < length; ++i) {
+      if ((byte(i) & 0xC0) != 0x80) fail("malformed UTF-8");
+    }
+    if (lead == 0xEF && second == 0xBF && (byte(2) == 0xBE || byte(2) == 0xBF))
+      fail("invalid character");  // U+FFFE, U+FFFF
+    return length;
   }
 
   void expect(char c) {
@@ -174,7 +223,16 @@ class PullParser {
     if (!is_name_start(peek())) fail("expected a name");
     size_t start = pos_;
     // Name characters include no newline, so the line count stays put.
-    while (pos_ < in_.size() && is_name_char(in_[pos_])) ++pos_;
+    while (pos_ < in_.size()) {
+      char c = in_[pos_];
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        pos_ += utf8_sequence_length();
+      } else if (is_name_char(c)) {
+        ++pos_;
+      } else {
+        break;
+      }
+    }
     std::string_view name = in_.substr(start, pos_ - start);
     auto colon = name.find(':');
     if (colon != std::string_view::npos &&
@@ -224,14 +282,20 @@ class PullParser {
     return out;
   }
 
-  // Called just after the '&'; returns the replacement text.
+  // Called just after the '&'; returns the replacement text. The scan stops
+  // at the first byte that cannot belong to a reference, and every error in
+  // a reference is reported at its '&'.
   std::string read_entity() {
-    std::string name;
-    while (peek() != ';') {
-      name += advance();
-      if (name.size() > 10) fail("malformed entity reference");
+    size_t amp = pos_ - 1;
+    size_t start = pos_;
+    // Reference characters are ASCII and include no newline, so the line
+    // count stays put.
+    while (pos_ < in_.size() && is_reference_char(in_[pos_])) {
+      if (++pos_ - start > 10) fail_at(amp, "malformed entity reference");
     }
-    advance();  // ';'
+    if (peek() != ';') fail_at(amp, "malformed entity reference");
+    std::string_view name = in_.substr(start, pos_ - start);
+    ++pos_;  // ';'
     if (name == "lt") return "<";
     if (name == "gt") return ">";
     if (name == "amp") return "&";
@@ -245,13 +309,13 @@ class PullParser {
       unsigned long cp = 0;
       auto [end, ec] = std::from_chars(first, last, cp, hex ? 16 : 10);
       if (ec != std::errc() || end != last)
-        fail("malformed character reference &" + name + ";");
-      if (!is_xml_char(cp)) fail("character reference out of range");
+        fail_at(amp, "malformed character reference &" + std::string(name) + ";");
+      if (!is_xml_char(cp)) fail_at(amp, "character reference out of range");
       std::string out;
       append_utf8(out, cp);
       return out;
     }
-    fail("unknown entity &" + name + ";");
+    fail_at(amp, "unknown entity &" + std::string(name) + ";");
   }
 
   ArenaNode* make_node(NodeKind kind) {
@@ -472,6 +536,7 @@ class PullParser {
   size_t pos_ = 0;
   int line_ = 1;
   size_t line_start_ = 0;
+  size_t utf8_end_ = 0;  // end of the last UTF-8 sequence advance() checked
   int depth_ = 0;
   NsScope ns_;
 };

@@ -276,6 +276,88 @@ TEST(Lifetime, CancelSkipsCallback) {
   EXPECT_EQ(destroyed, 0);
 }
 
+// The deadline index must follow every move of a termination time: earlier,
+// later, out to kNever and back.
+TEST(Lifetime, MovedDeadlineFiresAtItsLatestTime) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int destroyed = 0;
+  auto handle = lm.schedule(1000, [&] { ++destroyed; });
+
+  EXPECT_TRUE(lm.set_termination_time(handle, 200));  // earlier
+  clock.set(199);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_TRUE(lm.set_termination_time(handle, 5000));  // later
+  clock.set(1000);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_TRUE(lm.set_termination_time(handle, LifetimeManager::kNever));
+  clock.set(6000);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_EQ(lm.termination_time(handle), LifetimeManager::kNever);
+  EXPECT_TRUE(lm.set_termination_time(handle, 7000));  // and back
+  clock.set(6999);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_EQ(destroyed, 0);
+  clock.set(7000);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(lm.active(), 0u);
+  EXPECT_EQ(lm.sweep(), 0u);
+}
+
+TEST(Lifetime, TerminationTimeInThePastFiresOnNextSweep) {
+  common::ManualClock clock(1000);
+  LifetimeManager lm(clock);
+  int destroyed = 0;
+  auto handle = lm.schedule(LifetimeManager::kNever, [&] { ++destroyed; });
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_TRUE(lm.set_termination_time(handle, 10));
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(lm.termination_time(handle).has_value());
+}
+
+TEST(Lifetime, SameDeadlineFiresEveryHandle) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int destroyed = 0;
+  lm.schedule(500, [&] { ++destroyed; });
+  lm.schedule(500, [&] { ++destroyed; });
+  lm.schedule(501, [&] { ++destroyed; });
+  clock.set(500);  // exactly the deadline: due
+  EXPECT_EQ(lm.sweep(), 2u);
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(lm.active(), 1u);
+}
+
+TEST(Lifetime, CancelledOrDestroyedHandleLeavesNothingToFire) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  int destroyed = 0;
+  auto cancelled = lm.schedule(100, [&] { ++destroyed; });
+  auto explicit_destroy = lm.schedule(100, [&] { ++destroyed; });
+  EXPECT_TRUE(lm.cancel(cancelled));
+  EXPECT_TRUE(lm.destroy(explicit_destroy));
+  EXPECT_EQ(destroyed, 1);
+  clock.set(1000);
+  EXPECT_EQ(lm.sweep(), 0u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(lm.active(), 0u);
+}
+
+TEST(Lifetime, SweepSkipsNeverEntries) {
+  common::ManualClock clock(0);
+  LifetimeManager lm(clock);
+  for (int i = 0; i < 10'000; ++i) lm.schedule(LifetimeManager::kNever, [] {});
+  int destroyed = 0;
+  lm.schedule(50, [&] { ++destroyed; });
+  EXPECT_EQ(lm.sweep(), 0u);
+  clock.set(50);
+  EXPECT_EQ(lm.sweep(), 1u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(lm.active(), 10'000u);
+}
+
 TEST(Lifetime, ContainerSweepsOnEveryRequest) {
   common::ManualClock clock(0);
   Container container({.clock = &clock});

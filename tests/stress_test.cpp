@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "counter/wsrf_counter.hpp"
 #include "counter/wst_counter.hpp"
@@ -174,6 +176,56 @@ TEST(Concurrency, LifetimeManagerParallelScheduleAndSweep) {
   // Nothing lost: everything scheduled before the final sweep at t=10 with
   // termination t=1 or t=11 must eventually fire or stay active.
   EXPECT_EQ(destroyed.load() + static_cast<int>(lm.active()), 4 * 200);
+}
+
+// Deadline moves and cancels race the sweeps and the clock: every handle
+// ends up destroyed once, cancelled, or still active, never two of these.
+TEST(Concurrency, LifetimeManagerParallelRescheduleCancelAndSweep) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  common::ManualClock clock(0);
+  container::LifetimeManager lm(clock);
+  std::vector<std::atomic<int>> fired(kThreads * kPerThread + 1);
+  std::vector<std::atomic<int>> cancelled(kThreads * kPerThread + 1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<container::LifetimeManager::Handle> mine;
+      for (int i = 0; i < kPerThread; ++i) {
+        std::shared_ptr<container::LifetimeManager::Handle> self =
+            std::make_shared<container::LifetimeManager::Handle>(0);
+        auto h = lm.schedule(container::LifetimeManager::kNever,
+                             [&fired, self] { fired[*self].fetch_add(1); });
+        *self = h;  // the callback cannot run before a finite deadline is set
+        mine.push_back(h);
+        common::TimeMs deadlines[] = {1, 20, container::LifetimeManager::kNever};
+        lm.set_termination_time(h, deadlines[(i + t) % 3]);
+        if (i % 3 == 0) {
+          auto victim = mine[(i * 7 + t) % mine.size()];
+          if (lm.cancel(victim)) cancelled[victim].fetch_add(1);
+        }
+        if (i % 5 == 0) lm.set_termination_time(mine[i / 2], 5);
+        lm.sweep();
+      }
+    });
+  }
+  for (int step = 0; step < 30; ++step) {
+    clock.advance(1);
+    std::this_thread::yield();
+  }
+  for (auto& thread : threads) thread.join();
+  lm.sweep();
+
+  int destroyed = 0;
+  int cancels = 0;
+  for (size_t h = 1; h < fired.size(); ++h) {
+    EXPECT_LE(fired[h].load() + cancelled[h].load(), 1) << "handle " << h;
+    destroyed += fired[h].load();
+    cancels += cancelled[h].load();
+  }
+  EXPECT_GT(cancels, 0);
+  EXPECT_EQ(destroyed + static_cast<int>(lm.active()) + cancels,
+            kThreads * kPerThread);
 }
 
 TEST(Concurrency, NotificationFanOutFromManyPublishes) {

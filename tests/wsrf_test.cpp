@@ -100,6 +100,40 @@ TEST(ResourceHome, DestroyHooksFire) {
   EXPECT_EQ(destroyed[0], id);
 }
 
+// recover() reads finite termination times back from the "_tt" side
+// collection, the way a restarted container finds them.
+void plant_resource(Fixture& fx, const std::string& id, const char* ms) {
+  xml::Element state(app("Thing"));
+  state.append_element(app("value")).set_text("1");
+  fx.db.store("things", id, state);
+  xml::Element tt{xml::QName("termination")};
+  tt.set_attr("ms", ms);
+  fx.db.store("things_tt", id, tt);
+}
+
+TEST(ResourceHome, RecoverRestoresPersistedTerminationTime) {
+  Fixture fx;
+  plant_resource(fx, "planted", "1500");
+  EXPECT_EQ(fx.home.recover(), 1u);
+  EXPECT_EQ(fx.home.termination_time("planted"), 1500);
+  fx.clock.set(1500);
+  EXPECT_EQ(fx.container.lifetime().sweep(), 1u);
+  EXPECT_FALSE(fx.home.exists("planted"));
+}
+
+TEST(ResourceHome, RecoverDegradesJunkTerminationTimeToNever) {
+  Fixture fx;
+  plant_resource(fx, "junk", "1500junk");
+  plant_resource(fx, "empty", "");
+  EXPECT_EQ(fx.home.recover(), 2u);
+  EXPECT_EQ(fx.home.termination_time("junk"), container::LifetimeManager::kNever);
+  EXPECT_EQ(fx.home.termination_time("empty"), container::LifetimeManager::kNever);
+  fx.clock.set(std::numeric_limits<common::TimeMs>::max() - 1);
+  EXPECT_EQ(fx.container.lifetime().sweep(), 0u);
+  EXPECT_TRUE(fx.home.exists("junk"));
+  EXPECT_TRUE(fx.home.exists("empty"));
+}
+
 // --- GetResourceProperty ---------------------------------------------------------
 
 TEST(ResourceProperties, GetStoredProperty) {

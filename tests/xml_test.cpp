@@ -154,6 +154,19 @@ TEST(Parser, Utf8CharacterReference) {
   EXPECT_EQ(root->text(), "\xE2\x82\xAC");
 }
 
+TEST(Parser, AcceptsWellFormedUtf8Everywhere) {
+  // Two-, three- and four-byte sequences, including the largest code point
+  // and the last ones before the surrogates and the non-characters.
+  const std::string doc =
+      "<caf\xc3\xa9 v='\xf4\x8f\xbf\xbf'>\xe2\x82\xac\xed\x9f\xbf"
+      "\xef\xbf\xbd<!--\xf0\x9f\x98\x80--><![CDATA[\xc2\x80]]></caf\xc3\xa9>";
+  auto root = parse_element(doc);
+  EXPECT_EQ(root->name().local(), "caf\xc3\xa9");
+  EXPECT_EQ(root->attr("v"), "\xf4\x8f\xbf\xbf");
+  EXPECT_EQ(root->text(), "\xe2\x82\xac\xed\x9f\xbf\xef\xbf\xbd\xc2\x80");
+  EXPECT_TRUE(Element::deep_equal(*root, *parse_element(write(*root))));
+}
+
 TEST(Parser, EntityInAttribute) {
   auto root = parse_element("<a v=\"&amp;&lt;\"/>");
   EXPECT_EQ(root->attr("v"), "&<");
@@ -221,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"UnboundAttrPrefix", "<a p:v='1'/>",
                    "unbound namespace prefix 'p' at line 1, column 11", 1, 11},
         BadXmlCase{"BareAmpersand", "<a>&unknown;</a>",
-                   "unknown entity &unknown; at line 1, column 13", 1, 13},
+                   "unknown entity &unknown; at line 1, column 4", 1, 4},
         BadXmlCase{"LtInAttribute", "<a v=\"<\"/>",
                    "'<' in attribute value at line 1, column 8", 1, 8},
         BadXmlCase{"Doctype", "<!DOCTYPE a><a/>",
@@ -232,7 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"UnquotedAttr", "<a v=1/>",
                    "expected quoted attribute value at line 1, column 6", 1, 6},
         BadXmlCase{"HugeCharRef", "<a>&#x110000;</a>",
-                   "character reference out of range at line 1, column 14", 1, 14},
+                   "character reference out of range at line 1, column 4", 1, 4},
         BadXmlCase{"TruncatedOpenTag", "<a><b",
                    "expected a name at line 1, column 6", 1, 6},
         BadXmlCase{"TruncatedAttrValue", "<a v=\"unfinished",
@@ -240,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"TruncatedCloseTag", "<a></a",
                    "expected '>' at line 1, column 7", 1, 7},
         BadXmlCase{"BadEntityNoSemicolon", "<a>&amp</a>",
-                   "unexpected end of input at line 1, column 12", 1, 12},
+                   "malformed entity reference at line 1, column 4", 1, 4},
         BadXmlCase{"UnterminatedComment", "<a><!-- forever</a>",
                    "expected '-->' at line 1, column 20", 1, 20},
         // Only XML characters: no C0 controls besides tab, LF and CR, and
@@ -248,14 +261,66 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"ControlCharacter", "<a>\x01</a>",
                    "invalid character at line 1, column 4", 1, 4},
         BadXmlCase{"CharRefToControl", "<a>&#1;</a>",
-                   "character reference out of range at line 1, column 8", 1, 8},
+                   "character reference out of range at line 1, column 4", 1, 4},
         BadXmlCase{"CharRefTrailingJunk", "<a>&#1lt;</a>",
-                   "malformed character reference &#1lt; at line 1, column 10", 1, 10},
+                   "malformed character reference &#1lt; at line 1, column 4", 1, 4},
+        // A reference error points at its '&'; the scan for the ';' stops at
+        // the first byte that cannot belong to a reference.
+        BadXmlCase{"LoneAmpersand", "<a>&</a>",
+                   "malformed entity reference at line 1, column 4", 1, 4},
+        BadXmlCase{"EntityRunsIntoMarkup", "<a>&a<b/>;</a>",
+                   "malformed entity reference at line 1, column 4", 1, 4},
+        BadXmlCase{"EntityTooLong", "<a>&abcdefghijk;</a>",
+                   "malformed entity reference at line 1, column 4", 1, 4},
+        BadXmlCase{"AmpersandInAttribute", "<a v='x & y'/>",
+                   "malformed entity reference at line 1, column 9", 1, 9},
         // Qualified names have at most one colon, with text on both sides.
         BadXmlCase{"TwoColonName", "<p:q:a/>",
                    "malformed qualified name 'p:q:a' at line 1, column 7", 1, 7},
         BadXmlCase{"EmptyNamespacePrefix", "<a xmlns:='urn:x'/>",
                    "malformed qualified name 'xmlns:' at line 1, column 10", 1, 10},
+        // Bytes >= 0x80 must be well-formed UTF-8 that encodes an XML
+        // character; the error points at the sequence's first byte.
+        BadXmlCase{"Utf8InvalidByteInName", "<\xff\xfe/>",
+                   "malformed UTF-8 at line 1, column 2", 1, 2},
+        BadXmlCase{"Utf8InvalidByteInText", "<a>\xff</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8InvalidByteInAttribute", "<a v='\xc0'/>",
+                   "malformed UTF-8 at line 1, column 7", 1, 7},
+        BadXmlCase{"Utf8StrayContinuation", "<a>x\x80</a>",
+                   "malformed UTF-8 at line 1, column 5", 1, 5},
+        BadXmlCase{"Utf8ContinuationAfterSequence", "<a>\xc3\xa9\xa9</a>",
+                   "malformed UTF-8 at line 1, column 6", 1, 6},
+        BadXmlCase{"Utf8TruncatedBeforeMarkup", "<a>\xe2\x82</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8TruncatedAtEnd", "<a>\xf0\x9f\x98",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8TruncatedName", "<a\xc3",
+                   "malformed UTF-8 at line 1, column 3", 1, 3},
+        BadXmlCase{"Utf8OverlongTwoByte", "<a>\xc0\xaf</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8OverlongThreeByte", "<a>\xe0\x80\xaf</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8OverlongFourByte", "<a>\xf0\x80\x80\xaf</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8Surrogate", "<a>\xed\xa0\x80</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8AboveMaxCodePoint", "<a>\xf4\x90\x80\x80</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8LeadF5", "<a>\xf5\x80\x80\x80</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8LeadF8", "<a>\xf8\x88\x80\x80\x80</a>",
+                   "malformed UTF-8 at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8NonCharacterFFFE", "<a>\xef\xbf\xbe</a>",
+                   "invalid character at line 1, column 4", 1, 4},
+        BadXmlCase{"Utf8InComment", "<a><!--\xff--></a>",
+                   "malformed UTF-8 at line 1, column 8", 1, 8},
+        BadXmlCase{"Utf8InCdata", "<a><![CDATA[\xfe]]></a>",
+                   "malformed UTF-8 at line 1, column 13", 1, 13},
+        BadXmlCase{"Utf8InProcessingInstruction", "<a><?pi \xc1\x81?></a>",
+                   "malformed UTF-8 at line 1, column 9", 1, 9},
+        BadXmlCase{"Utf8OnSecondLine", "<a>\n\xc3\xa9\xff</a>",
+                   "malformed UTF-8 at line 2, column 3", 2, 3},
         // Nesting is capped at 256 levels so wire input cannot exhaust the
         // stack; the 257th '<d>' ends at column 769.
         BadXmlCase{"DepthLimit", nested(300),
